@@ -45,8 +45,9 @@
 //!   not per request, so steady-state reads must stay near-free).
 //! * `parity_read` — a read that loses one data partition to a delete
 //!   every op and rebuilds it from the file's Cauchy-RS parity: the
-//!   full corruption-to-erasure recovery price (late-binding `k + r`
-//!   re-fetch, decode, fire-and-forget read repair).
+//!   full corruption-to-erasure recovery price (the parity fetch that
+//!   joins the read's one k-of-n loop, decode, fire-and-forget read
+//!   repair).
 //!
 //! Per point and variant it reports reads (or writes) per second, bytes
 //! moved, and p50/p95/p99 latency, and emits a schema-stable
@@ -674,9 +675,9 @@ fn measure_verified(
 
 /// Measures the corruption-to-erasure recovery read (DESIGN.md §4.15):
 /// every op deletes one data partition out from under the file, so the
-/// read pays the full parity path — the typed erasure, the late-binding
-/// `k + r` re-fetch, the Cauchy-RS decode, and the fire-and-forget read
-/// repair. The repair's re-landed partition is removed again by the
+/// read pays the full parity path — the typed erasure, the parity
+/// fetch that joins the same late-binding loop (landed data shards are
+/// kept), the Cauchy-RS decode, and the fire-and-forget read repair. The repair's re-landed partition is removed again by the
 /// next op's delete (the channel transport orders both FIFO per
 /// worker), so every timed iteration decodes.
 fn measure_parity_read(point: &GridPoint, shared: &Bytes) -> VariantResult {

@@ -1,6 +1,7 @@
 //! The SP-Client: parallel fork-join reads and writes, with a robust,
-//! zero-copy, select-driven data path (single per-read deadline, bounded
-//! retry, hedged under-store range reads).
+//! zero-copy, select-driven data path (one late-binding k-of-n fetch
+//! loop per read attempt under a single deadline: data, parity and
+//! hedged under-store ranges; bounded retry).
 
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Select, TryRecvError};
@@ -28,20 +29,26 @@ use crate::transport::Transport;
 /// [`crate::master::Master`] or a wire master client) — the read/write
 /// logic below is byte-identical over both.
 ///
-/// Reads are **robust** and **out-of-order**: all `k` partition fetches
-/// are issued at once and their replies consumed as they land via a
-/// ready-set [`Select`] over the reply channels — no partition waits
-/// behind a slower, lower-indexed one. One [`RetryPolicy::deadline`]
-/// covers the whole read attempt (the fork-join of Fig. 9a really is
-/// bounded by its slowest partition, not by `k` stacked timeouts). A
-/// failed attempt is retried with exponential backoff after re-locating
-/// the file (and, when an under-store is attached, after recovering lost
-/// partitions onto live workers). With [`HedgePolicy`] enabled, the hedge
-/// timer fires once per read for the *actual* stragglers: every partition
-/// still outstanding at the threshold is served from its exact byte range
-/// in the under-store checkpoint ([`UnderStore::load_range`]) — the
-/// late-binding trick of EC-Cache, adapted to a redundancy-free cache
-/// where the checkpoint is the only second copy.
+/// Reads are **robust**, **out-of-order** and **late-binding**: one
+/// attempt is a single k-of-n fetch loop over the file's `k` data
+/// partitions, its `r` parity partitions and the under-store byte
+/// ranges. All `k` data fetches are issued at once and their replies
+/// consumed as they land via a ready-set [`Select`] — no partition waits
+/// behind a slower, lower-indexed one. On the first erasure (`Corrupt`
+/// or `NotFound`) the parity fetches join the same loop: landed shards
+/// are kept, and the first `k` shards that verify bind the read (the
+/// rest are rebuilt by the Cauchy decode). One [`RetryPolicy::deadline`]
+/// covers the whole attempt, parity included (the fork-join of Fig. 9a
+/// really is bounded by its slowest partition, not by `k` stacked
+/// timeouts). A failed attempt is retried with exponential backoff after
+/// re-locating the file (and, when an under-store is attached, after
+/// recovering lost partitions onto live workers). With [`HedgePolicy`]
+/// enabled, the hedge timer fires once per read for the *actual*
+/// stragglers: every data partition still outstanding at the threshold
+/// is served from its exact byte range in the under-store checkpoint
+/// ([`UnderStore::load_range`]) — the late-binding trick of EC-Cache,
+/// adapted to a redundancy-free cache where the checkpoint is the only
+/// second copy.
 ///
 /// Reads are also **zero-copy** up to the final assembly:
 /// [`Client::write_bytes`] slices one backing buffer into partition
@@ -292,33 +299,15 @@ impl Client {
             return Ok(());
         }
         let mut reqs = Vec::new();
-        let mut targets = Vec::new();
         let mut rows = Vec::with_capacity(files.len());
         let mut integrity = Vec::with_capacity(files.len());
         for (id, data, servers) in files {
-            assert!(!servers.is_empty(), "need at least one target server");
-            let shards = split_shards_bytes(data, servers.len());
-            let sums = spcache_integrity::sums(&shards);
-            for (j, (shard, &server)) in shards.into_iter().zip(servers).enumerate() {
-                reqs.push((
-                    server,
-                    Request::Put {
-                        key: PartKey::new(*id, j as u32),
-                        data: shard,
-                        sum: sums[j],
-                    },
-                ));
-                targets.push(server);
-            }
+            let (puts, sums) = partition_puts(*id, data, servers);
+            reqs.extend(puts);
             rows.push((*id, data.len(), servers.clone()));
             integrity.push((*id, sums));
         }
-        let rxs = self.submit_batch(reqs)?;
-        let deadline = Instant::now() + self.retry.deadline;
-        for (server, rx) in targets.into_iter().zip(rxs) {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            self.await_reply(server, &rx, remaining)?.unit()?;
-        }
+        self.put_all(reqs)?;
         self.master.register_batch(&rows)?;
         if self.verify || self.parity > 0 {
             // The bulk-seeding path records checksum rows but skips the
@@ -344,38 +333,28 @@ impl Client {
         data: &Bytes,
         servers: &[usize],
     ) -> Result<Vec<u64>, StoreError> {
-        assert!(!servers.is_empty(), "need at least one target server");
-        let shards = split_shards_bytes(data, servers.len());
-        let sums = spcache_integrity::sums(&shards);
-
-        // Fire all puts as ONE batch (socket transports coalesce the
-        // frames into shared `writev` rounds), then collect completions
-        // under one shared deadline (parallel fan-out: the write is
-        // bounded by its slowest partition, not by the sum of
-        // per-partition waits).
-        let reqs = shards
-            .into_iter()
-            .zip(servers)
-            .enumerate()
-            .map(|(j, (shard, &server))| {
-                (
-                    server,
-                    Request::Put {
-                        key: PartKey::new(id, j as u32),
-                        data: shard,
-                        sum: sums[j],
-                    },
-                )
-            })
-            .collect();
-        let rxs = self.submit_batch(reqs)?;
-        let pending: Vec<(usize, _)> = servers.iter().copied().zip(rxs).collect();
-        let deadline = Instant::now() + self.retry.deadline;
-        for (server, rx) in pending {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            self.await_reply(server, &rx, remaining)?.unit()?;
-        }
+        let (reqs, sums) = partition_puts(id, data, servers);
+        self.put_all(reqs)?;
         Ok(sums)
+    }
+
+    /// The one Put fan-out: fires every request as ONE batch (socket
+    /// transports coalesce the frames into shared `writev` rounds), then
+    /// collects completions under one shared deadline — the write is
+    /// bounded by its slowest partition, not by the sum of per-partition
+    /// waits.
+    fn put_all(&self, reqs: Vec<(usize, Request)>) -> Result<(), StoreError> {
+        let servers: Vec<usize> = reqs.iter().map(|&(server, _)| server).collect();
+        let rxs = self.submit_batch(reqs)?;
+        let deadline = Instant::now() + self.retry.deadline;
+        for (server, rx) in servers.into_iter().zip(rxs) {
+            match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(reply) => self.absorb_reply(server, reply)?.unit()?,
+                Err(RecvTimeoutError::Disconnected) => return Err(self.worker_down(server)),
+                Err(RecvTimeoutError::Timeout) => return Err(self.timeout(server)),
+            }
+        }
+        Ok(())
     }
 
     /// Encodes and pushes this file's Cauchy-RS parity partitions onto
@@ -401,34 +380,13 @@ impl Client {
         }
         let mut shards = ReedSolomon::new_cauchy(k, k + r).encode_bytes(data);
         let parity: Vec<Bytes> = shards.split_off(k).into_iter().map(Bytes::from).collect();
-        let sums = spcache_integrity::sums(&parity);
         // Rotate the spare list by file id so parity load spreads across
         // the fleet instead of piling onto the lowest-indexed workers.
         let rot = (id as usize) % spare.len();
-        let place = |p: usize| spare[(rot + p) % spare.len()];
-        let reqs = parity
-            .into_iter()
-            .enumerate()
-            .map(|(p, shard)| {
-                (
-                    place(p),
-                    Request::Put {
-                        key: PartKey::parity(id, p as u32),
-                        data: shard,
-                        sum: sums[p],
-                    },
-                )
-            })
-            .collect();
-        let rxs = self.submit_batch(reqs)?;
-        let deadline = Instant::now() + self.retry.deadline;
-        let mut row = Vec::with_capacity(r);
-        for (p, rx) in rxs.iter().enumerate() {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            self.await_reply(place(p), rx, remaining)?.unit()?;
-            row.push((place(p), sums[p]));
-        }
-        Ok(row)
+        let places: Vec<usize> = (0..r).map(|p| spare[(rot + p) % spare.len()]).collect();
+        let (reqs, sums) = puts(parity, &places, |p| PartKey::parity(id, p));
+        self.put_all(reqs)?;
+        Ok(places.into_iter().zip(sums).collect())
     }
 
     /// Best-effort partition drop on one worker (recovery GC); errors
@@ -458,18 +416,12 @@ impl Client {
     /// missing partitions, timeouts, transport I/O failures and dead
     /// workers.
     pub fn read(&self, id: u64) -> Result<Vec<u8>, StoreError> {
-        match self.read_robust(id, true, true)? {
-            ReadOut::Contiguous(buf) => Ok(buf),
-            ReadOut::Scattered(f) => Ok(gather(f)),
-        }
+        self.read_robust(id, true, true).map(ReadSink::into_vec)
     }
 
     /// Reads without bumping the popularity counter.
     pub fn read_quiet(&self, id: u64) -> Result<Vec<u8>, StoreError> {
-        match self.read_robust(id, false, true)? {
-            ReadOut::Contiguous(buf) => Ok(buf),
-            ReadOut::Scattered(f) => Ok(gather(f)),
-        }
+        self.read_robust(id, false, true).map(ReadSink::into_vec)
     }
 
     /// Zero-copy read: returns the file as its in-index-order partition
@@ -486,23 +438,21 @@ impl Client {
     ///
     /// Same contract as [`Client::read`].
     pub fn read_scattered(&self, id: u64) -> Result<ScatteredFile, StoreError> {
-        match self.read_robust(id, true, false)? {
-            ReadOut::Scattered(f) => Ok(f),
-            ReadOut::Contiguous(_) => unreachable!("scattered mode returns views"),
-        }
+        self.read_robust(id, true, false).map(ReadSink::into_file)
     }
 
-    /// One robust read: locate → fetch-all-partitions → retry/heal loop.
-    /// With `contiguous` set, each partition is copied into its offset of
-    /// one preallocated output buffer **as its reply lands**, so the
-    /// read's single copy overlaps the wait for slower partitions instead
-    /// of running serially after the join.
+    /// One robust read: locate → one k-of-n fetch attempt → retry/heal
+    /// loop; returns the filled sink. With `contiguous` set, each
+    /// partition is copied into its offset of one preallocated output
+    /// buffer **as its reply lands**, so the read's single copy overlaps
+    /// the wait for slower partitions instead of running serially after
+    /// the join.
     fn read_robust(
         &self,
         id: u64,
         count_access: bool,
         contiguous: bool,
-    ) -> Result<ReadOut, StoreError> {
+    ) -> Result<ReadSink, StoreError> {
         let mut attempt = 0u32;
         let started = Instant::now();
         loop {
@@ -518,55 +468,12 @@ impl Client {
             // The integrity row travels beside the placement: the
             // checksum half drives end-to-end verification, the parity
             // half names the recovery set (§4.15).
-            let integ = if self.verify {
-                self.master.integrity(id)
-            } else {
-                None
-            };
-            let sums = integ
-                .as_ref()
-                .map(|i| i.sums.as_slice())
-                // A row of the wrong width predates a re-split that has
-                // not recorded fresh sums yet — don't verify against it.
-                .filter(|s| s.len() == servers.len());
-            let mut sink = if contiguous {
-                ReadSink::contiguous(size, servers.len())
-            } else {
-                ReadSink::parts(servers.len())
-            };
-            let err = match self.fetch_into(id, size, &servers, sums, &mut sink) {
-                Ok(()) => return Ok(sink.finish(size)),
+            let row = self.verify.then(|| self.master.integrity(id)).flatten();
+            let mut sink = ReadSink::new(size, servers.len(), contiguous);
+            let err = match self.fetch_into(id, size, &servers, row, &mut sink) {
+                Ok(()) => return Ok(sink),
                 Err(e) => e,
             };
-            // A corrupt partition is an *erasure* — and so is a lost
-            // one (`NotFound` with no spill copy left). The parity set
-            // exists for exactly this: rebuild the file from any `k` of
-            // its `k + r` verified partitions, with no under-store
-            // round-trip. This is part of the same read attempt (it
-            // runs even under a single-attempt policy); failure here
-            // (parity unreachable, too few verified shards) falls
-            // through to the heal-and-retry path.
-            if matches!(err, StoreError::Corrupt(_) | StoreError::NotFound(_)) {
-                let row = match integ {
-                    Some(i) => Some(i),
-                    // Workers verify even when this client doesn't
-                    // (e.g. `verify_reads` on the fleet only): fetch
-                    // the row we skipped above.
-                    None => self.master.integrity(id),
-                };
-                let row = row
-                    .filter(|r| !r.parity.is_empty() && r.sums.len() == servers.len());
-                if let Some(row) = row {
-                    if let Ok(parts) = self.read_via_parity(id, size, &servers, &row) {
-                        let f = ScatteredFile { size, parts };
-                        return Ok(if contiguous {
-                            ReadOut::Contiguous(gather(f))
-                        } else {
-                            ReadOut::Scattered(f)
-                        });
-                    }
-                }
-            }
             if !err.is_retryable() || attempt >= self.retry.max_attempts {
                 return Err(err);
             }
@@ -622,100 +529,102 @@ impl Client {
         }
     }
 
-    /// One fork-join attempt against a fixed placement: fire all `k`
-    /// fetches as a single transport batch, then consume replies **as
-    /// they land** via a ready-set select over the reply channels, under
-    /// a **single deadline** for the whole attempt. Each landed reply is
-    /// placed into `sink` immediately — for a contiguous sink that copy
-    /// runs while slower partitions are still on the wire.
+    /// One late-binding k-of-n attempt against a fixed placement — the
+    /// read's single fork-join loop, driven by a [`Binding`]. All `k`
+    /// data fetches fire as one transport batch and their replies are
+    /// consumed **as they land** via a ready-set select, under a
+    /// **single deadline** for the whole attempt (parity included). Each
+    /// bound data shard is placed into `sink` immediately — for a
+    /// contiguous sink that copy runs while slower partitions are still
+    /// on the wire.
+    ///
+    /// The first erasure (`Corrupt`/`NotFound`, or a landed shard that
+    /// fails `row`'s checksum) arms the file's parity fetches in the
+    /// same loop; landed shards are kept, never fetched again. Once `k`
+    /// shards bind, the missing data partitions are rebuilt by the
+    /// Cauchy decode and re-pushed to their placement in the background
+    /// (read repair). Any other first failure aborts the attempt into
+    /// the caller's heal-and-retry path.
     ///
     /// When hedging is armed, one hedge timer covers the read: at the
-    /// straggler threshold, every partition still outstanding — i.e. the
-    /// actual stragglers, whatever their index — is served from its byte
-    /// range in the under-store checkpoint instead.
-    /// With `sums` present, every landed worker reply is additionally
-    /// verified against its stored checksum; a mismatch aborts the
-    /// attempt with [`StoreError::Corrupt`] — the same erasure a
-    /// verifying worker reports. (Hedged under-store ranges are the
-    /// checkpoint ground truth and are not re-checked.)
+    /// straggler threshold, every data partition still outstanding —
+    /// i.e. the actual stragglers, whatever their index — is served
+    /// from its byte range in the under-store checkpoint instead.
     fn fetch_into(
         &self,
         id: u64,
         size: usize,
         servers: &[usize],
-        sums: Option<&[u64]>,
+        mut row: Option<FileIntegrity>,
         sink: &mut ReadSink,
     ) -> Result<(), StoreError> {
         let k = servers.len();
         let start = Instant::now();
         let deadline = start + self.retry.deadline;
+        let mut bind = Binding::new(id, k, row.as_ref().map(|r| r.sums.clone()).unwrap_or_default());
+        let mut endpoints = servers.to_vec();
 
-        // Fork: issue every partition fetch up front, in one batch.
+        // Fork: issue every data fetch up front, in one batch.
         let reqs = servers
             .iter()
             .enumerate()
-            .map(|(j, &server)| {
-                (
-                    server,
-                    Request::Get {
-                        key: PartKey::new(id, j as u32),
-                    },
-                )
-            })
+            .map(|(j, &server)| (server, Request::Get { key: bind.key(j) }))
             .collect();
-        let replies = self.submit_batch(reqs)?;
+        let mut replies = self.submit_batch(reqs)?;
 
         let hedging = self.hedge.enabled && self.under.is_some();
-        let mut hedge_at = if hedging {
-            Some(start + self.hedge.straggler_threshold.min(self.retry.deadline))
-        } else {
-            None
-        };
+        let mut hedge_at =
+            hedging.then(|| start + self.hedge.straggler_threshold.min(self.retry.deadline));
 
-        // Join: a ready-set wait over all outstanding reply channels.
-        let mut remaining = k;
-        while remaining > 0 {
-            let wait_until = hedge_at.map_or(deadline, |h| h.min(deadline));
-            let mut sel = Select::new();
-            let mut outstanding = Vec::with_capacity(remaining);
-            for (j, rx) in replies.iter().enumerate() {
-                if sink.is_pending(j) {
-                    outstanding.push(j);
-                    sel.recv(rx);
+        // Join: a ready-set wait over every outstanding slot.
+        loop {
+            match bind.progress() {
+                Progress::Bound => break,
+                Progress::Failed(e) => return Err(e),
+                Progress::Arm => {
+                    // Workers verify even when this client doesn't
+                    // (e.g. `verify_reads` on the fleet only): fetch the
+                    // row skipped at locate time.
+                    row = row.or_else(|| self.master.integrity(id));
+                    let parity = bind.arm(row.as_ref());
+                    let reqs = (k..).zip(parity).map(|(i, &(server, _))| {
+                        (server, Request::GetParity { key: bind.key(i) })
+                    });
+                    endpoints.extend(parity.iter().map(|&(server, _)| server));
+                    let rxs = self.submit_batch(reqs.collect());
+                    replies.extend(rxs.map_err(|_| bind.first_failure())?);
+                    continue;
                 }
+                Progress::Wait => {}
+            }
+            let wait_until = hedge_at.map_or(deadline, |h| h.min(deadline));
+            let outstanding: Vec<usize> = bind.pending().collect();
+            let mut sel = Select::new();
+            for &i in &outstanding {
+                sel.recv(&replies[i]);
             }
             match sel.ready_deadline(wait_until) {
-                Ok(i) => {
-                    let j = outstanding[i];
-                    match replies[j].try_recv() {
-                        Ok(reply) => {
-                            let data = self.absorb_reply(servers[j], reply)?.bytes()?;
-                            if let Some(sums) = sums {
-                                if !spcache_integrity::verify(&data, sums[j]) {
-                                    return Err(StoreError::Corrupt(PartKey::new(
-                                        id, j as u32,
-                                    )));
-                                }
-                            }
-                            sink.place(j, data);
-                            remaining -= 1;
-                        }
-                        Err(TryRecvError::Disconnected) => {
-                            return Err(self.worker_down(servers[j]));
-                        }
+                Ok(ready) => {
+                    let i = outstanding[ready];
+                    let reply = match replies[i].try_recv() {
+                        Ok(reply) => self.absorb_reply(endpoints[i], reply).and_then(Reply::bytes),
+                        Err(TryRecvError::Disconnected) => Err(self.worker_down(endpoints[i])),
                         // Spurious readiness; go wait again.
-                        Err(TryRecvError::Empty) => {}
+                        Err(TryRecvError::Empty) => continue,
+                    };
+                    if let Some(data) = bind.land(i, reply) {
+                        sink.place(i, data);
                     }
                 }
                 Err(_) if hedge_at.is_some_and(|h| h < deadline) => {
                     // Hedge timer fired before the deadline: late-bind
-                    // every partition still outstanding to its exact byte
-                    // range in the under-store checkpoint. If there is no
-                    // checkpoint, disarm the hedge and wait out the rest
-                    // of the deadline.
+                    // every data partition still outstanding to its exact
+                    // byte range in the under-store checkpoint. If there
+                    // is no checkpoint, disarm the hedge and wait out the
+                    // rest of the deadline.
                     hedge_at = None;
                     let under = self.under.as_ref().expect("hedging requires under-store");
-                    for &j in &outstanding {
+                    for j in outstanding.into_iter().filter(|&j| j < k) {
                         let range = partition_range(size as u64, k, j);
                         let Some(data) = under.load_range(id, range.start, range.len())
                         else {
@@ -725,178 +634,36 @@ impl Client {
                         self.hedged_fetches.fetch_add(1, Ordering::Relaxed);
                         self.hedged_bytes
                             .fetch_add(data.len() as u64, Ordering::Relaxed);
+                        bind.hedge(j, data.clone());
                         sink.place(j, data);
-                        remaining -= 1;
                     }
                 }
                 Err(_) => {
-                    // The read deadline expired with partitions missing:
-                    // the slowest partition really is the read's fate
-                    // (Eq. 9). Suspect and report its actual holder.
-                    let straggler = servers[outstanding[0]];
-                    return Err(self.timeout(straggler));
+                    // The deadline expired with slots missing: the
+                    // slowest partition really is the read's fate
+                    // (Eq. 9). Suspect its actual holder; report it
+                    // unless an erasure already failed the attempt.
+                    let timeout = self.timeout(endpoints[outstanding[0]]);
+                    return Err(bind.first_err.unwrap_or(timeout));
                 }
             }
         }
-        Ok(())
-    }
 
-    /// Corruption-to-erasure recovery (§4.15): re-reads the file
-    /// through its parity set. All `k` data fetches and `r` parity
-    /// fetches fire as one batch; replies are consumed as they land and
-    /// **verified** against the integrity row (this read is recovering
-    /// from a corruption — nothing is taken on trust). As soon as any
-    /// `k` of the `k + r` shards verify, the rest are abandoned
-    /// (EC-Cache's late binding, repurposed from straggler evasion to
-    /// erasure repair) and the missing data partitions are rebuilt by
-    /// the Cauchy decode. Rebuilt partitions are re-pushed to their
-    /// placement in the background (read repair), so the next read is
-    /// clean — all without touching the under-store.
-    fn read_via_parity(
-        &self,
-        id: u64,
-        size: usize,
-        servers: &[usize],
-        row: &FileIntegrity,
-    ) -> Result<Vec<Bytes>, StoreError> {
-        let k = servers.len();
-        let r = row.parity.len();
-        let deadline = Instant::now() + self.retry.deadline;
-
-        let mut reqs = Vec::with_capacity(k + r);
-        for (j, &server) in servers.iter().enumerate() {
-            reqs.push((
-                server,
-                Request::Get {
-                    key: PartKey::new(id, j as u32),
-                },
-            ));
-        }
-        for (p, &(server, _)) in row.parity.iter().enumerate() {
-            reqs.push((
-                server,
-                Request::GetParity {
-                    key: PartKey::parity(id, p as u32),
-                },
-            ));
-        }
-        let endpoints: Vec<usize> = reqs.iter().map(|&(s, _)| s).collect();
-        let replies = self.submit_batch(reqs)?;
-
-        // Late-binding join: any k verified shards end the wait.
-        let mut got: Vec<Option<Bytes>> = vec![None; k + r];
-        let mut done = vec![false; k + r];
-        let mut verified = 0usize;
-        let mut last_err = StoreError::Corrupt(PartKey::new(id, 0));
-        while verified < k {
-            let mut sel = Select::new();
-            let mut outstanding = Vec::new();
-            for (i, rx) in replies.iter().enumerate() {
-                if !done[i] {
-                    outstanding.push(i);
-                    sel.recv(rx);
-                }
-            }
-            if outstanding.is_empty() {
-                // Every channel answered and fewer than k shards
-                // verified: the parity set cannot cover this failure.
-                return Err(last_err);
-            }
-            match sel.ready_deadline(deadline) {
-                Ok(sel_i) => {
-                    let i = outstanding[sel_i];
-                    match replies[i].try_recv() {
-                        Ok(reply) => {
-                            done[i] = true;
-                            match self
-                                .absorb_reply(endpoints[i], reply)
-                                .and_then(|rep| rep.bytes())
-                            {
-                                Ok(data) => {
-                                    let want = if i < k {
-                                        row.sums[i]
-                                    } else {
-                                        row.parity[i - k].1
-                                    };
-                                    if spcache_integrity::verify(&data, want) {
-                                        got[i] = Some(data);
-                                        verified += 1;
-                                    }
-                                }
-                                Err(e) => last_err = e,
-                            }
-                        }
-                        Err(TryRecvError::Disconnected) => {
-                            done[i] = true;
-                            last_err = self.worker_down(endpoints[i]);
-                        }
-                        Err(TryRecvError::Empty) => {}
-                    }
-                }
-                Err(_) => return Err(self.timeout(endpoints[outstanding[0]])),
-            }
-        }
-
-        let missing: Vec<usize> = (0..k).filter(|&j| got[j].is_none()).collect();
-        if missing.is_empty() {
-            // All data partitions verified after all (the corrupt copy
-            // was already overwritten under us) — no decode needed.
-            return Ok(got.into_iter().take(k).map(|b| b.expect("verified")).collect());
-        }
-
-        // Data partitions arrive ragged; the codec works on the equal
-        // `ceil(size / k)` slot layout they are views of (see
-        // `split_shards_bytes` / `split_into_shards`) — zero-pad each to
-        // its slot, decode, and slice the ragged views back out.
-        let shard_len = size.div_ceil(k).max(1);
-        let mut shards: Vec<Option<Vec<u8>>> = got
-            .iter()
-            .map(|s| {
-                s.as_ref().map(|b| {
-                    let mut v = b.to_vec();
-                    v.resize(shard_len, 0);
-                    v
-                })
-            })
-            .collect();
-        let data = ReedSolomon::new_cauchy(k, k + r)
-            .reconstruct_data(&mut shards)
-            .map_err(|_| StoreError::Corrupt(PartKey::new(id, missing[0] as u32)))?;
-        let data = Bytes::from(data);
-        let parts: Vec<Bytes> = (0..k)
-            .map(|j| {
-                let start = j * shard_len;
-                let end = ((j + 1) * shard_len).min(size);
-                if start >= size {
-                    Bytes::new()
-                } else {
-                    data.slice(start..end)
-                }
-            })
-            .collect();
-        for &j in &missing {
-            // The decode is only as good as the integrity row it used;
-            // prove each rebuilt partition against its recorded sum
-            // before handing it out (or re-landing it) as truth.
-            if !spcache_integrity::verify(&parts[j], row.sums[j]) {
-                return Err(StoreError::Corrupt(PartKey::new(id, j as u32)));
-            }
-        }
-
-        // Read repair: re-land the erased partitions on their placement
+        // Read repair: re-land each rebuilt partition on its placement
         // (background-stamped, fire-and-forget). The worker counts the
         // overwrite of a corrupted-erased key as a decode
         // reconstruction.
-        for &j in &missing {
+        for (j, part) in bind.decode(size)? {
+            sink.place(j, part.clone());
             let req = Request::Put {
-                key: PartKey::new(id, j as u32),
-                data: parts[j].clone(),
-                sum: row.sums[j],
+                key: bind.key(j),
+                data: part,
+                sum: bind.sums[j],
             }
             .background();
             let _ = self.transport.submit(servers[j], req);
         }
-        Ok(parts)
+        Ok(())
     }
 
     /// Submits a fan-out of requests — each stamped with its target's
@@ -1016,19 +783,6 @@ impl Client {
         StoreError::Timeout(server)
     }
 
-    fn await_reply(
-        &self,
-        server: usize,
-        rx: &Receiver<Reply>,
-        deadline: Duration,
-    ) -> Result<Reply, StoreError> {
-        match rx.recv_timeout(deadline) {
-            Ok(reply) => self.absorb_reply(server, reply),
-            Err(RecvTimeoutError::Disconnected) => Err(self.worker_down(server)),
-            Err(RecvTimeoutError::Timeout) => Err(self.timeout(server)),
-        }
-    }
-
     /// Deletes a file's partitions and metadata; returns how many data
     /// partitions were actually resident. Any parity partitions are
     /// dropped too (best-effort, not counted).
@@ -1040,33 +794,51 @@ impl Client {
             .master
             .unregister_file(id)
             .ok_or(StoreError::UnknownFile(id))?;
+        let parity = integ.map(|i| i.parity).unwrap_or_default();
+        let data = servers.iter().enumerate().map(|(j, &s)| (s, PartKey::new(id, j as u32)));
+        let parity = parity.iter().enumerate().map(|(p, &(s, _))| (s, PartKey::parity(id, p as u32)));
         let mut removed = 0;
-        for (j, &server) in servers.iter().enumerate() {
-            if let Ok(rx) = self.transport.submit(
-                server,
-                Request::Delete {
-                    key: PartKey::new(id, j as u32),
-                },
-            ) {
-                if let Ok(Reply::Flag(true)) = rx.recv_timeout(self.retry.deadline) {
-                    removed += 1;
-                }
-            }
-        }
-        if let Some(integ) = integ {
-            for (p, &(server, _)) in integ.parity.iter().enumerate() {
-                if let Ok(rx) = self.transport.submit(
-                    server,
-                    Request::Delete {
-                        key: PartKey::parity(id, p as u32),
-                    },
-                ) {
-                    let _ = rx.recv_timeout(self.retry.deadline);
-                }
-            }
+        for (server, key) in data.chain(parity) {
+            let Ok(rx) = self.transport.submit(server, Request::Delete { key }) else {
+                continue;
+            };
+            let gone = matches!(rx.recv_timeout(self.retry.deadline), Ok(Reply::Flag(true)));
+            removed += usize::from(gone && !key.is_parity());
         }
         Ok(removed)
     }
+}
+
+/// One Put per shard — shard `i` to `servers[i]` under `key(i)` — each
+/// stamped with its checksum, so workers can verify later reads and
+/// spill reloads. Returns the requests and the sums.
+fn puts(
+    shards: Vec<Bytes>,
+    servers: &[usize],
+    key: impl Fn(u32) -> PartKey,
+) -> (Vec<(usize, Request)>, Vec<u64>) {
+    let sums = spcache_integrity::sums(&shards);
+    let reqs = shards
+        .into_iter()
+        .zip(servers)
+        .enumerate()
+        .map(|(i, (data, &server))| {
+            let put = Request::Put {
+                key: key(i as u32),
+                data,
+                sum: sums[i],
+            };
+            (server, put)
+        })
+        .collect();
+    (reqs, sums)
+}
+
+/// A file's data-partition Puts: `data` re-split into `servers.len()`
+/// views sharing its allocation (see [`split_shards_bytes`]).
+fn partition_puts(id: u64, data: &Bytes, servers: &[usize]) -> (Vec<(usize, Request)>, Vec<u64>) {
+    assert!(!servers.is_empty(), "need at least one target server");
+    puts(split_shards_bytes(data, servers.len()), servers, |j| PartKey::new(id, j))
 }
 
 /// A file read without reassembly: its size and partition views in index
@@ -1091,129 +863,311 @@ impl ScatteredFile {
 
     /// Materializes the contiguous file content (one copy).
     pub fn to_vec(&self) -> Vec<u8> {
-        gather(self.clone())
+        let mut sink = ReadSink::new(self.size, self.parts.len(), true);
+        for (j, part) in self.parts.iter().enumerate() {
+            sink.place(j, part.clone());
+        }
+        sink.into_vec()
     }
-}
-
-/// What one robust read produced: partition views (scattered mode) or
-/// the already-assembled contiguous buffer (the sink copied each reply
-/// into place as it arrived).
-enum ReadOut {
-    Scattered(ScatteredFile),
-    Contiguous(Vec<u8>),
 }
 
 /// Where one fork-join attempt lands its partitions.
 ///
-/// `Parts` collects the index-ordered zero-copy views
-/// [`Client::read_scattered`] hands out. `Contiguous` assembles the
-/// output buffer **as replies arrive**: whenever the landed parts form
-/// a prefix of the file, they are appended to the buffer immediately,
-/// so the single copy of [`Client::read`] overlaps the wait for slower
-/// partitions instead of running serially after the join (the old
-/// `gather`-after-join path cost ~15% of contiguous read throughput at
-/// 64MB/k16). Out-of-order arrivals are staged as zero-copy views
-/// until their turn. Appending into reserved-but-uninitialized
-/// capacity matters: a pre-zeroed `vec![0; size]` buffer pays a full
-/// extra memset pass whenever the allocator recycles a dirty block.
-enum ReadSink {
-    Parts(Vec<Option<Bytes>>),
-    Contiguous {
-        /// The in-order assembled prefix of the file.
-        buf: Vec<u8>,
-        /// Parts landed but not yet appendable (a predecessor missing).
-        staged: Vec<Option<Bytes>>,
-        /// How many parts have been appended to `buf`.
-        appended: usize,
-        /// Logical file size (`buf`'s final length).
-        size: usize,
-    },
+/// A scattered sink ([`Client::read_scattered`]) just collects the
+/// index-ordered zero-copy views. A contiguous sink assembles the output
+/// buffer **as replies arrive**: whenever the landed parts form a prefix
+/// of the file, they are appended to the buffer immediately, so the
+/// single copy of [`Client::read`] overlaps the wait for slower
+/// partitions instead of running serially after the join (a
+/// gather-after-join pass cost ~15% of contiguous read throughput at
+/// 64MB/k16). Out-of-order arrivals are staged as zero-copy views until
+/// their turn. Appending into reserved-but-uninitialized capacity
+/// matters: a pre-zeroed `vec![0; size]` buffer pays a full extra memset
+/// pass whenever the allocator recycles a dirty block.
+struct ReadSink {
+    /// Logical file size (a contiguous `buf`'s final length).
+    size: usize,
+    /// Parts landed but not yet appended to `buf` — every part, in a
+    /// scattered sink.
+    staged: Vec<Option<Bytes>>,
+    /// The in-order assembled prefix of the file; `None` when scattered.
+    buf: Option<Vec<u8>>,
+    /// How many parts have been appended to `buf`.
+    appended: usize,
 }
 
 impl ReadSink {
-    fn parts(k: usize) -> Self {
-        ReadSink::Parts((0..k).map(|_| None).collect())
-    }
-
-    fn contiguous(size: usize, k: usize) -> Self {
-        ReadSink::Contiguous {
-            buf: Vec::with_capacity(size),
-            staged: vec![None; k],
-            appended: 0,
+    fn new(size: usize, k: usize, contiguous: bool) -> Self {
+        ReadSink {
             size,
+            staged: vec![None; k],
+            buf: contiguous.then(|| Vec::with_capacity(size)),
+            appended: 0,
         }
     }
 
-    /// Is partition `j` still outstanding?
-    fn is_pending(&self, j: usize) -> bool {
-        match self {
-            ReadSink::Parts(parts) => parts[j].is_none(),
-            ReadSink::Contiguous { staged, appended, .. } => {
-                j >= *appended && staged[j].is_none()
-            }
-        }
-    }
-
-    /// Lands partition `j`. In contiguous mode the part is staged, then
-    /// every ready prefix part is appended to the buffer — this is the
-    /// read's one copy, running while later partitions are still on the
-    /// wire. A short part (tolerated, never produced by current write
-    /// paths) gets its tail zero-padded to its range length.
+    /// Lands partition `j`, replacing whatever it held. A contiguous
+    /// sink stages the part, then appends every ready prefix part to the
+    /// buffer — this is the read's one copy, running while later
+    /// partitions are still on the wire; a part already appended (a
+    /// decoded shard replacing one that failed a late verification) is
+    /// copied over its range in place. A short part (tolerated, never
+    /// produced by current write paths) gets its tail zero-padded to its
+    /// range length.
     fn place(&mut self, j: usize, data: Bytes) {
-        match self {
-            ReadSink::Parts(parts) => parts[j] = Some(data),
-            ReadSink::Contiguous { buf, staged, appended, size } => {
-                staged[j] = Some(data);
-                let k = staged.len();
-                while *appended < k {
-                    let Some(part) = staged[*appended].take() else { break };
-                    let range = partition_range(*size as u64, k, *appended);
-                    let take = (range.len() as usize).min(part.len());
-                    buf.extend_from_slice(&part[..take]);
-                    buf.resize(range.end as usize, 0);
-                    *appended += 1;
-                }
-            }
+        let (k, size) = (self.staged.len(), self.size as u64);
+        let Some(buf) = &mut self.buf else {
+            self.staged[j] = Some(data);
+            return;
+        };
+        if j < self.appended {
+            let range = partition_range(size, k, j);
+            let out = &mut buf[range.start as usize..range.end as usize];
+            let take = out.len().min(data.len());
+            out[..take].copy_from_slice(&data[..take]);
+            out[take..].fill(0);
+            return;
+        }
+        self.staged[j] = Some(data);
+        while self.appended < k {
+            let Some(part) = self.staged[self.appended].take() else { break };
+            let range = partition_range(size, k, self.appended);
+            let take = (range.len() as usize).min(part.len());
+            buf.extend_from_slice(&part[..take]);
+            buf.resize(range.end as usize, 0);
+            self.appended += 1;
         }
     }
 
-    /// Converts the fully-landed sink into the read's result.
-    fn finish(self, size: usize) -> ReadOut {
-        match self {
-            ReadSink::Parts(parts) => ReadOut::Scattered(ScatteredFile {
-                size,
-                parts: parts.into_iter().map(|p| p.expect("all joined")).collect(),
-            }),
-            ReadSink::Contiguous { buf, appended, staged, .. } => {
-                debug_assert_eq!(appended, staged.len(), "finish before full join");
-                ReadOut::Contiguous(buf)
+    /// The fully-landed sink as partition views.
+    fn into_file(self) -> ScatteredFile {
+        ScatteredFile {
+            size: self.size,
+            parts: self.staged.into_iter().map(|p| p.expect("all joined")).collect(),
+        }
+    }
+
+    /// The fully-landed sink as the contiguous file content.
+    fn into_vec(self) -> Vec<u8> {
+        match self.buf {
+            Some(buf) => {
+                debug_assert_eq!(self.appended, self.staged.len(), "finish before full join");
+                buf
             }
+            None => self.into_file().to_vec(),
         }
     }
 }
 
-/// Scatters partition views into one preallocated contiguous buffer —
-/// the single copy of the read path. Each partition lands at its
-/// `partition_range` offset; legacy zero-padded tails are trimmed.
-fn gather(file: ScatteredFile) -> Vec<u8> {
-    let size = file.size;
-    let k = file.parts.len();
-    // Parts arrive in index order over contiguous ranges, so a
-    // sequential append fills the buffer without the upfront zeroing a
-    // positioned scatter into `vec![0; size]` would pay.
-    let mut out = Vec::with_capacity(size);
-    for (j, part) in file.parts.iter().enumerate() {
-        let range = partition_range(size as u64, k, j);
-        let want = (range.end - range.start) as usize;
-        let take = want.min(part.len());
-        out.extend_from_slice(&part[..take]);
-        // A short part (never produced by the current write paths, but
-        // tolerated) leaves its tail zeroed rather than shifting later
-        // partitions out of place.
-        out.resize(out.len() + (want - take), 0);
+/// One slot of a read attempt: data partition `j < k`, or parity
+/// partition `p` at slot `k + p`.
+#[derive(Debug, Clone)]
+enum Slot {
+    /// Requested; the reply is still outstanding.
+    Pending,
+    /// Landed unchecked (the client had no sums and nothing has failed
+    /// yet); verified if parity arms.
+    Trusted(Bytes),
+    /// Verified against its checksum, or served by the under-store
+    /// checkpoint (ground truth, not re-checked).
+    Verified(Bytes),
+    /// An error reply, or bytes that failed verification.
+    Lost,
+}
+
+/// What a read attempt needs next.
+#[derive(Debug)]
+enum Progress {
+    /// Keep waiting on the pending slots.
+    Wait,
+    /// The first failure was an erasure: arm the parity slots.
+    Arm,
+    /// `k` slots are bound; decode whatever data slot is missing.
+    Bound,
+    /// `k` slots can no longer bind.
+    Failed(StoreError),
+}
+
+/// The late-binding policy of one k-of-n read attempt (§4.15): which
+/// slots to fetch, which landed shards to trust, and when the attempt is
+/// bound or unreachable. It holds no channels and no clock — the
+/// client's select loop feeds it replies and asks it what to do next.
+///
+/// The `k` data slots are fetched up front. The first erasure
+/// (`Corrupt`/`NotFound`, or bytes that fail verification) arms the `r`
+/// parity slots, if the integrity row has parity of this placement's
+/// width; from then on every shard that counts toward `k` is verified,
+/// including data that landed before. Any other first failure
+/// (`WorkerDown`, `Timeout`, `Io`, `StaleEpoch`, …) fails the attempt
+/// outright, and once the attempt cannot bind it fails with its first
+/// failure.
+#[derive(Debug)]
+struct Binding {
+    id: u64,
+    k: usize,
+    /// Checksum per slot (data, then parity once armed); empty while the
+    /// client reads unverified.
+    sums: Vec<u64>,
+    slots: Vec<Slot>,
+    armed: bool,
+    first_err: Option<StoreError>,
+}
+
+impl Binding {
+    fn new(id: u64, k: usize, sums: Vec<u64>) -> Self {
+        Binding {
+            id,
+            k,
+            // A row of the wrong width predates a re-split that has not
+            // recorded fresh sums yet — don't verify against it.
+            sums: if sums.len() == k { sums } else { Vec::new() },
+            slots: vec![Slot::Pending; k],
+            armed: false,
+            first_err: None,
+        }
     }
-    debug_assert_eq!(out.len(), size);
-    out
+
+    /// The partition key slot `i` fetches.
+    fn key(&self, i: usize) -> PartKey {
+        match i.checked_sub(self.k) {
+            None => PartKey::new(self.id, i as u32),
+            Some(p) => PartKey::parity(self.id, p as u32),
+        }
+    }
+
+    /// The slots whose reply is still outstanding.
+    fn pending(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.slots.len()).filter(|&i| matches!(self.slots[i], Slot::Pending))
+    }
+
+    /// The error the attempt fails with.
+    fn first_failure(&self) -> StoreError {
+        self.first_err.clone().expect("a failure was recorded")
+    }
+
+    /// Folds slot `i`'s reply in; returns the bytes to place when a data
+    /// slot binds.
+    fn land(&mut self, i: usize, reply: Result<Bytes, StoreError>) -> Option<Bytes> {
+        self.slots[i] = match reply {
+            Ok(data) if self.sums.is_empty() => Slot::Trusted(data),
+            Ok(data) => self.check(i, data),
+            Err(e) => {
+                self.first_err.get_or_insert(e);
+                Slot::Lost
+            }
+        };
+        match &self.slots[i] {
+            Slot::Trusted(data) | Slot::Verified(data) if i < self.k => Some(data.clone()),
+            _ => None,
+        }
+    }
+
+    /// Binds data slot `j` to its checkpoint bytes (the hedge).
+    fn hedge(&mut self, j: usize, data: Bytes) {
+        self.slots[j] = Slot::Verified(data);
+    }
+
+    /// Verifies slot `i`'s bytes; a mismatch is an erasure.
+    fn check(&mut self, i: usize, data: Bytes) -> Slot {
+        if spcache_integrity::verify(&data, self.sums[i]) {
+            Slot::Verified(data)
+        } else {
+            self.first_err.get_or_insert(StoreError::Corrupt(self.key(i)));
+            Slot::Lost
+        }
+    }
+
+    /// Arms the parity slots from the file's integrity row and verifies
+    /// every data shard that landed unchecked. Returns the parity
+    /// `(server, sum)` entries to fetch, in slot order — none when the
+    /// row carries no parity of this placement's width.
+    fn arm<'r>(&mut self, row: Option<&'r FileIntegrity>) -> &'r [(usize, u64)] {
+        self.armed = true;
+        let Some(row) = row.filter(|r| !r.parity.is_empty() && r.sums.len() == self.k) else {
+            return &[];
+        };
+        self.sums = row.sums.iter().chain(row.parity.iter().map(|(_, s)| s)).copied().collect();
+        for j in 0..self.k {
+            if let Slot::Trusted(data) = &self.slots[j] {
+                self.slots[j] = self.check(j, data.clone());
+            }
+        }
+        self.slots.resize(self.k + row.parity.len(), Slot::Pending);
+        &row.parity
+    }
+
+    fn progress(&self) -> Progress {
+        match &self.first_err {
+            Some(e) if !matches!(e, StoreError::Corrupt(_) | StoreError::NotFound(_)) => {
+                return Progress::Failed(e.clone());
+            }
+            Some(_) if !self.armed => return Progress::Arm,
+            _ => {}
+        }
+        let bound = self
+            .slots
+            .iter()
+            .filter(|s| matches!(s, Slot::Trusted(_) | Slot::Verified(_)))
+            .count();
+        let lost = self.slots.iter().filter(|s| matches!(s, Slot::Lost)).count();
+        if bound >= self.k {
+            Progress::Bound
+        } else if self.slots.len() - lost < self.k {
+            Progress::Failed(self.first_failure())
+        } else {
+            Progress::Wait
+        }
+    }
+
+    /// The data partitions a bound attempt holds no shard for, rebuilt
+    /// by the Cauchy decode from the bound slots and each verified
+    /// against its checksum before it is returned. Empty when every data
+    /// slot bound directly.
+    fn decode(&self, size: usize) -> Result<Vec<(usize, Bytes)>, StoreError> {
+        let k = self.k;
+        let missing: Vec<usize> = (0..k)
+            .filter(|&j| !matches!(self.slots[j], Slot::Trusted(_) | Slot::Verified(_)))
+            .collect();
+        if missing.is_empty() {
+            return Ok(Vec::new());
+        }
+        // Data partitions arrive ragged; the codec works on the equal
+        // `ceil(size / k)` slot layout they are views of (see
+        // `split_shards_bytes` / `split_into_shards`) — zero-pad each to
+        // its slot, decode, and slice the ragged views back out.
+        let shard_len = size.div_ceil(k).max(1);
+        let mut shards: Vec<Option<Vec<u8>>> = self
+            .slots
+            .iter()
+            .map(|s| match s {
+                Slot::Verified(b) => {
+                    let mut v = b.to_vec();
+                    v.resize(shard_len, 0);
+                    Some(v)
+                }
+                _ => None,
+            })
+            .collect();
+        let data = ReedSolomon::new_cauchy(k, shards.len())
+            .reconstruct_data(&mut shards)
+            .map_err(|_| self.first_failure())?;
+        let data = Bytes::from(data);
+        missing
+            .into_iter()
+            .map(|j| {
+                let range = partition_range(size as u64, k, j);
+                let part = data.slice(range.start as usize..range.end as usize);
+                // The decode is only as good as the integrity row it
+                // used; prove each rebuilt partition against its sum
+                // before handing it out (or re-landing it) as truth.
+                if spcache_integrity::verify(&part, self.sums[j]) {
+                    Ok((j, part))
+                } else {
+                    Err(self.first_failure())
+                }
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -1618,9 +1572,9 @@ mod tests {
     fn client_side_verify_catches_what_blind_workers_serve() {
         // Workers do NOT verify; the client does, against the master's
         // integrity row. The flipped resident copy is served as-is by
-        // worker 0 (twice — the data fetch and the parity path's
-        // re-fetch both fail verification) and the file still comes
-        // back byte-exact via the Cauchy decode.
+        // worker 0, once: the client's check turns it into an erasure,
+        // the parity fetch joins the same attempt, and the file still
+        // comes back byte-exact via the Cauchy decode.
         let cfg = StoreConfig::unthrottled(5)
             .with_parity(1)
             .with_faults(FaultPlan::none().corrupt(
@@ -1698,5 +1652,201 @@ mod tests {
         assert_eq!(c.hedged_fetches(), 1, "exactly the straggler was hedged");
         let range = partition_range(data.len() as u64, k, straggler);
         assert_eq!(c.hedged_bytes(), range.len());
+    }
+
+    /// Counts the `Get`/`GetParity` submissions a client makes.
+    #[derive(Debug)]
+    struct CountingFetches {
+        inner: Arc<dyn Transport>,
+        fetches: AtomicU64,
+    }
+
+    impl Transport for CountingFetches {
+        fn n_workers(&self) -> usize {
+            self.inner.n_workers()
+        }
+        fn submit(&self, worker: usize, req: Request) -> Result<Receiver<Reply>, StoreError> {
+            if matches!(req, Request::Get { .. } | Request::GetParity { .. }) {
+                self.fetches.fetch_add(1, Ordering::Relaxed);
+            }
+            self.inner.submit(worker, req)
+        }
+    }
+
+    /// A k = 3, r = 1 file on a verifying 5-worker fleet, read through
+    /// a fetch-counting transport by a single-attempt client.
+    fn counted_parity_file() -> (StoreCluster, Arc<CountingFetches>, Client, Vec<u8>) {
+        let cluster = StoreCluster::spawn(StoreConfig::unthrottled(5).with_verify_reads(true));
+        let counting = Arc::new(CountingFetches {
+            inner: cluster.transport().clone(),
+            fetches: AtomicU64::new(0),
+        });
+        let c = Client::new(cluster.master().clone(), counting.clone()).with_parity(1);
+        let data = payload(9_000);
+        c.write(1, &data, &[0, 1, 2]).unwrap();
+        (cluster, counting, c, data)
+    }
+
+    fn drop_key(cluster: &StoreCluster, server: usize, key: PartKey) {
+        let gone = cluster
+            .transport()
+            .call(server, Request::Delete { key }, Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(gone, Reply::Flag(true), "{key:?} was not resident");
+    }
+
+    #[test]
+    fn degraded_read_keeps_landed_shards_and_fetches_each_slot_once() {
+        // Partition 0 is lost. The read binds the two data shards that
+        // landed plus the parity shard: k + r = 4 fetches, none of them
+        // repeated (re-fetching the data for a separate parity read
+        // would cost 2k + r = 7).
+        let (cluster, counting, c, data) = counted_parity_file();
+        drop_key(&cluster, 0, PartKey::new(1, 0));
+        assert_eq!(c.read(1).unwrap(), data);
+        assert_eq!(counting.fetches.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn unreachable_read_fails_with_its_erasure_after_at_most_k_plus_r_fetches() {
+        // Every shard is gone and there is no under-store: the attempt
+        // can never bind k, so it fails with the first erasure without
+        // fetching any slot twice.
+        let (cluster, counting, c, _) = counted_parity_file();
+        for j in 0..3 {
+            drop_key(&cluster, j, PartKey::new(1, j as u32));
+        }
+        let row = cluster.master().integrity(1).expect("row recorded");
+        assert_eq!(row.parity.len(), 1);
+        drop_key(&cluster, row.parity[0].0, PartKey::parity(1, 0));
+        let err = c.read(1).unwrap_err();
+        assert!(matches!(err, StoreError::NotFound(_)), "{err:?}");
+        assert!(counting.fetches.load(Ordering::Relaxed) <= 4);
+    }
+
+    mod binding {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The outcome scripted for one slot: outcome codes 0..=3 serve
+        /// the true shard, 4 serves it with a flipped byte, 5 answers
+        /// `NotFound`, 6 `Corrupt`, 7 `WorkerDown`.
+        fn reply(code: u8, key: PartKey, shard: &Bytes) -> Result<Bytes, StoreError> {
+            match code {
+                0..=3 => Ok(shard.clone()),
+                4 => {
+                    let mut bad = shard.to_vec();
+                    match bad.first_mut() {
+                        Some(b) => *b ^= 0xFF,
+                        None => bad.push(0xFF),
+                    }
+                    Ok(Bytes::from(bad))
+                }
+                5 => Err(StoreError::NotFound(key)),
+                6 => Err(StoreError::Corrupt(key)),
+                _ => Err(StoreError::WorkerDown(0)),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Drives the binding through random per-slot outcomes and
+            /// arrival orders, with the client verifying from the start
+            /// or only once parity arms.
+            #[test]
+            fn binds_the_original_bytes_or_fails_with_the_first_failure(
+                shape in (1usize..9, 0usize..4, 0usize..300),
+                codes in collection::vec(0u8..8, 11),
+                arrival in collection::vec(any::<u64>(), 11),
+                verify: bool
+            ) {
+                let (k, r, size) = shape;
+                let file = Bytes::from(payload(size));
+                let mut shards = split_shards_bytes(&file, k);
+                let encoded = ReedSolomon::new_cauchy(k, k + r).encode_bytes(&file);
+                shards.extend(encoded.into_iter().skip(k).map(Bytes::from));
+                let sums = spcache_integrity::sums(&shards);
+                let row = FileIntegrity {
+                    sums: sums[..k].to_vec(),
+                    parity: (0..r).map(|p| (k + p, sums[k + p])).collect(),
+                };
+                // Slots arrive in the order of their random keys.
+                let mut order: Vec<usize> = (0..k + r).collect();
+                order.sort_by_key(|&i| arrival[i]);
+
+                // The model: the first failure is the first data slot in
+                // arrival order that errs, or serves bad bytes to a
+                // verifying client. Parity is only read after it.
+                let fails = |i: usize| codes[i] >= 5 || (verify && codes[i] == 4);
+                let first = order.iter().copied().find(|&i| i < k && fails(i));
+                let good = (0..k + r).filter(|&i| codes[i] <= 3).count();
+                let expected = match first {
+                    None if verify => Ok(file.to_vec()),
+                    None => Ok(ScatteredFile {
+                        size,
+                        parts: (0..k).map(|j| reply(codes[j], PartKey::new(1, 0), &shards[j]).unwrap()).collect(),
+                    }.to_vec()),
+                    Some(i) => {
+                        let err = reply(codes[i], PartKey::new(1, i as u32), &shards[i])
+                            .err()
+                            .unwrap_or(StoreError::Corrupt(PartKey::new(1, i as u32)));
+                        if codes[i] != 7 && r > 0 && good >= k {
+                            Ok(file.to_vec())
+                        } else {
+                            Err(err)
+                        }
+                    }
+                };
+
+                let mut bind = Binding::new(1, k, if verify { row.sums.clone() } else { Vec::new() });
+                let mut requested: Vec<usize> = (0..k).collect();
+                let mut delivered = vec![false; k + r];
+                let mut sink = ReadSink::new(size, k, true);
+                let got = loop {
+                    match bind.progress() {
+                        Progress::Bound => match bind.decode(size) {
+                            Ok(parts) => {
+                                for (j, part) in parts {
+                                    prop_assert_eq!(&part, &shards[j], "decoded slot {} wrong", j);
+                                    sink.place(j, part);
+                                }
+                                break Ok(sink.into_vec());
+                            }
+                            Err(e) => break Err(e),
+                        },
+                        Progress::Failed(e) => break Err(e),
+                        Progress::Arm => {
+                            prop_assert!(!bind.armed, "armed twice");
+                            for (i, _) in (k..).zip(bind.arm(Some(&row))) {
+                                prop_assert!(!requested.contains(&i), "slot {} requested twice", i);
+                                requested.push(i);
+                            }
+                        }
+                        Progress::Wait => {
+                            let mut pending: Vec<usize> = bind.pending().collect();
+                            let mut outstanding: Vec<usize> =
+                                requested.iter().copied().filter(|&i| !delivered[i]).collect();
+                            pending.sort_unstable();
+                            outstanding.sort_unstable();
+                            prop_assert_eq!(&pending, &outstanding);
+                            let i = *order.iter().find(|&&i| pending.contains(&i)).unwrap();
+                            delivered[i] = true;
+                            let placed = bind.land(i, reply(codes[i], bind.key(i), &shards[i]));
+                            if let Some(data) = placed {
+                                // Unchecked bytes are only trusted while
+                                // the client reads unverified and nothing
+                                // has failed yet.
+                                if verify || bind.armed {
+                                    prop_assert_eq!(&data, &shards[i], "slot {} placed bad bytes", i);
+                                }
+                                sink.place(i, data);
+                            }
+                        }
+                    }
+                };
+                prop_assert_eq!(got, expected, "k={} r={} codes={:?} order={:?}", k, r, &codes[..k + r], order);
+            }
+        }
     }
 }

@@ -20,12 +20,13 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Deadline for one whole **read attempt** (or one write fan-out) —
     /// *not* per partition. All `k` partition fetches of a fork-join read
-    /// run under this single window: the select-driven join consumes
-    /// replies as they land, so a `k = 8` read with one straggler fails
-    /// (or hedges) after ~one deadline, never eight. A worker whose reply
-    /// is still outstanding when the window closes counts as timed out
-    /// (it may be hung, not dead — the master tracks the distinction via
-    /// suspicion counts).
+    /// run under this single window, and so do the parity fetches a
+    /// degraded read adds to the same attempt: the select-driven join
+    /// consumes replies as they land, so a `k = 8` read with one
+    /// straggler fails (or hedges) after ~one deadline, never eight. A
+    /// worker whose reply is still outstanding when the window closes
+    /// counts as timed out (it may be hung, not dead — the master tracks
+    /// the distinction via suspicion counts).
     pub deadline: Duration,
 }
 
@@ -39,7 +40,7 @@ impl RetryPolicy {
         }
     }
 
-    /// Sets the per-partition deadline (builder style).
+    /// Sets the per-attempt deadline (builder style).
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = deadline;
         self
