@@ -59,6 +59,7 @@ use spcache_store::backing::UnderStore;
 use spcache_store::fault::FaultLog;
 use spcache_store::master::Master;
 use spcache_store::metalog::decode_records;
+use spcache_store::repartitioner::DEFAULT_EXECUTOR_DEADLINE;
 use spcache_store::supervisor::{Supervisor, SupervisorCore};
 use spcache_store::transport::Transport;
 use spcache_store::{Request, StoreConfig, SupervisorConfig};
@@ -132,11 +133,8 @@ fn run_worker(args: &[String]) {
     let log = Arc::new(FaultLog::new());
     // A standalone worker has no shared under-store to spill into, so a
     // budgeted one backs itself privately (spawn_worker_opts does this).
-    let server = match flag_value(args, "--io-shards") {
-        Some(n) => WorkerServer::spawn_sharded(id, &bind, &cfg, log, parse("--io-shards", &n)),
-        None => WorkerServer::spawn(id, &bind, &cfg, log),
-    }
-    .unwrap_or_else(|e| {
+    let io_shards = flag_value(args, "--io-shards").map(|n| parse("--io-shards", &n));
+    let server = WorkerServer::spawn(id, &bind, &cfg, log, io_shards, None).unwrap_or_else(|e| {
         eprintln!("spcached: cannot bind {bind}: {e}");
         exit(1);
     });
@@ -170,11 +168,7 @@ fn run_master(args: &[String]) {
         None => Arc::new(Master::new()),
     };
     master.ensure_workers(worker_addrs.len());
-    let server = MasterServer::spawn(master.clone(), &bind, worker_addrs.clone())
-        .unwrap_or_else(|e| {
-            eprintln!("spcached: cannot bind {bind}: {e}");
-            exit(1);
-        });
+    let server = spawn_master(&master, &bind, worker_addrs.clone());
     let my_addr = server.addr().to_string();
     // Activation rules (§4.14). A journal whose newest master-epoch
     // record names a different owner means someone took over while we
@@ -216,6 +210,21 @@ fn run_master(args: &[String]) {
     });
     println!("LISTEN {}", server.addr());
     server.join();
+}
+
+/// Serves `master` on `bind` with the default rebalance deadline, or
+/// exits when the address cannot be bound.
+fn spawn_master(master: &Arc<Master>, bind: &str, worker_addrs: Vec<SocketAddr>) -> MasterServer {
+    MasterServer::spawn(
+        master.clone(),
+        bind,
+        worker_addrs,
+        DEFAULT_EXECUTOR_DEADLINE,
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("spcached: cannot bind {bind}: {e}");
+        exit(1);
+    })
 }
 
 /// The standby's life: tail the active master's op-log into a shadow
@@ -280,11 +289,7 @@ fn run_standby(args: &[String], bind: &str, worker_addrs: &[SocketAddr], meta_di
         }
     };
     master.ensure_workers(worker_addrs.len());
-    let server = MasterServer::spawn(master.clone(), bind, worker_addrs.to_vec())
-        .unwrap_or_else(|e| {
-            eprintln!("spcached: cannot bind {bind}: {e}");
-            exit(1);
-        });
+    let server = spawn_master(&master, bind, worker_addrs.to_vec());
     let my_addr = server.addr().to_string();
     let epoch = master.claim_master_epoch(master.master_epoch() + 1, &my_addr);
     // The old master's in-flight repairs died with it; release their

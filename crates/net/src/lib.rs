@@ -18,14 +18,16 @@
 //!   loops multiplexing every worker connection, with per-connection
 //!   request-id multiplexing, frame batching and
 //!   `RetryPolicy`-derived poller timers,
-//! * [`server::WorkerServer`] — the `spcached` worker: a sharded
-//!   event-loop TCP front end over the store's channel worker,
-//!   including wire-level fault injection (dropped connections,
-//!   delayed and truncated frames) and graceful drain-then-exit
-//!   shutdown,
+//! * [`server`] — the server event loop both `spcached` roles run:
+//!   sharded readiness loops parameterised only by a per-role request
+//!   handler, with graceful drain-then-exit shutdown; and
+//!   [`server::WorkerServer`], the worker on it — a TCP front end over
+//!   the store's channel worker, including wire-level fault injection
+//!   (dropped connections, delayed and truncated frames),
 //! * [`master_net`] — the master protocol: [`master_net::MasterServer`]
-//!   serving metadata plus a one-RPC cluster `Rebalance`, and
-//!   [`master_net::MasterClient`], a wire-backed `MetaService`,
+//!   serving metadata inline on that loop plus a one-RPC cluster
+//!   `Rebalance`, and [`master_net::MasterClient`], a wire-backed
+//!   `MetaService`,
 //! * [`loopback::TcpCluster`] — everything wired together over
 //!   127.0.0.1 for tests and benchmarks, interchangeable with the
 //!   in-process `StoreCluster`,

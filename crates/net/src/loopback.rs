@@ -70,18 +70,17 @@ impl TcpCluster {
     pub fn spawn_with_under_store(cfg: StoreConfig, under: Option<Arc<UnderStore>>) -> Self {
         assert!(cfg.n_workers > 0, "need at least one worker");
         let fault_log = Arc::new(FaultLog::new());
-        let io_shards = std::thread::available_parallelism().map_or(1, |n| n.get());
         let workers: Vec<WorkerServer> = (0..cfg.n_workers)
             .map(|id| {
                 // Budgeted workers spill into the cluster's shared
                 // under-store tier (mirrors `StoreCluster`): whole-file
                 // checkpoints there make evictions free drops.
-                WorkerServer::spawn_sharded_with_spill(
+                WorkerServer::spawn(
                     id,
                     "127.0.0.1:0",
                     &cfg,
                     Arc::clone(&fault_log),
-                    io_shards,
+                    None,
                     under.clone(),
                 )
                 .expect("bind worker listener")
@@ -90,7 +89,7 @@ impl TcpCluster {
         let addrs: Vec<SocketAddr> = workers.iter().map(WorkerServer::addr).collect();
         let master = Arc::new(Master::new());
         master.ensure_workers(cfg.n_workers);
-        let master_server = MasterServer::spawn_with_deadline(
+        let master_server = MasterServer::spawn(
             master.clone(),
             "127.0.0.1:0",
             addrs.clone(),

@@ -13,35 +13,37 @@
 //! is unreachable they degrade to no-ops rather than failing the data
 //! path that triggered them.
 //!
-//! The server side is a single readiness event loop (no per-connection
-//! threads): metadata calls are in-memory and answered inline off the
-//! poller, so one loop serves any number of supervisor, client and
-//! worker connections.
+//! The server runs on the same shard loop as the worker server
+//! ([`crate::server`]), with one shard and its own request handler: no
+//! per-connection threads. Metadata calls are in-memory, so each is
+//! answered inline — the reply joins the connection's write queue in the
+//! loop iteration that read the request — and one loop serves any number
+//! of supervisor, client and worker connections.
 //!
 //! The server additionally understands `Rebalance`: the master plans
 //! against its metadata (Algorithm 1 + 2 planning) and runs the
 //! repartition over its *own* [`TcpTransport`] to the workers, so one
 //! RPC drives a whole cluster rebalance — the deployment shape of the
 //! paper's SP-Master. Rebalance is the one slow call, so it runs on a
-//! detached thread and completes back through the loop's waker.
+//! detached thread and completes back through the loop's command queue.
 
-use mio::{Events, Interest, Poll, Token, Waker};
+use bytes::Bytes;
 use parking_lot::Mutex;
 use spcache_core::tuner::TunerConfig;
 use spcache_store::master::{Master, MetaService};
 use spcache_store::FileIntegrity;
-use spcache_store::repartitioner::{run_parallel_with_deadline, DEFAULT_EXECUTOR_DEADLINE};
+use spcache_store::repartitioner::run_parallel_with_deadline;
 use spcache_store::rpc::{StoreError, MASTER_ENDPOINT};
-use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::frame::{read_frame, write_frame, Frame, FrameBuilder};
-use crate::poll::{FrameReader, PumpStatus, WireFrame, WriteQueue};
+use crate::poll::WireFrame;
+use crate::server::{serve, Action, ConnRef};
 use crate::tcp::TcpTransport;
 
 // Master-protocol opcodes.
@@ -560,57 +562,57 @@ pub struct MasterServer {
 }
 
 impl MasterServer {
-    /// Serves `master` on `bind` (port 0 for ephemeral). `worker_addrs`
-    /// is the fleet the `Rebalance` RPC repartitions over; pass the
-    /// workers' listen addresses in index order.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors binding the listener.
-    pub fn spawn(
-        master: Arc<Master>,
-        bind: &str,
-        worker_addrs: Vec<SocketAddr>,
-    ) -> io::Result<MasterServer> {
-        MasterServer::spawn_with_deadline(master, bind, worker_addrs, DEFAULT_EXECUTOR_DEADLINE)
-    }
-
-    /// [`MasterServer::spawn`] with an explicit per-reply executor
-    /// deadline for the `Rebalance` RPC (normally
+    /// Serves `master` on `bind` (port 0 for ephemeral) from one shard
+    /// loop. `worker_addrs` is the fleet the `Rebalance` RPC repartitions
+    /// over, in index order; `executor_deadline` is that RPC's per-reply
+    /// executor deadline (normally
     /// [`spcache_store::StoreConfig::executor_deadline`]).
     ///
     /// # Errors
     ///
-    /// I/O errors binding the listener.
-    pub fn spawn_with_deadline(
+    /// I/O errors binding the listener or creating the poller.
+    pub fn spawn(
         master: Arc<Master>,
         bind: &str,
         worker_addrs: Vec<SocketAddr>,
         executor_deadline: Duration,
     ) -> io::Result<MasterServer> {
-        let listener = TcpListener::bind(bind)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let poll = Poll::new()?;
-        let waker = Arc::new(Waker::new(poll.registry(), META_WAKER)?);
-        let loop_master = Arc::clone(&master);
-        let event_loop = std::thread::Builder::new()
-            .name("spcache-master-io".into())
-            .spawn(move || {
-                meta_loop(
-                    poll,
-                    &waker,
-                    &listener,
-                    &loop_master,
-                    &worker_addrs,
-                    executor_deadline,
-                );
-            })
-            .expect("spawn master event loop");
+        let served = Arc::clone(&master);
+        let workers: Arc<[SocketAddr]> = worker_addrs.into();
+        let frame =
+            |reply: &MetaReply, req_id| WireFrame::contiguous(encode_meta_reply(reply, req_id));
+        let handler = move |buf: Bytes, conn: &ConnRef| {
+            let (req_id, req) = match Frame::parse(buf)
+                .and_then(|f| decode_meta_request(&f).map(|req| (f.req_id, req)))
+            {
+                Ok(ok) => ok,
+                // Protocol violation: answer best-effort and cut the
+                // connection once the error flushes.
+                Err(e) => return Some(Action::Last(frame(&MetaReply::Err(e), 0))),
+            };
+            if let MetaRequest::Rebalance { .. } = req {
+                // Worker RPCs are slow; never run them on the loop.
+                let (master, workers, conn) =
+                    (Arc::clone(&served), Arc::clone(&workers), conn.clone());
+                let _ = std::thread::Builder::new()
+                    .name("spcache-master-rebalance".into())
+                    .spawn(move || {
+                        let reply = serve_meta(&master, &workers, req, executor_deadline);
+                        conn.complete(Action::Frame(frame(&reply, req_id)), Duration::ZERO);
+                    });
+                return None;
+            }
+            if req == MetaRequest::Shutdown {
+                conn.stop_shard(); // after this ack flushes
+            }
+            let reply = serve_meta(&served, &workers, req, executor_deadline);
+            Some(Action::Frame(frame(&reply, req_id)))
+        };
+        let (addr, _, threads) = serve("spcache-master", bind, 1, handler)?;
         Ok(MasterServer {
             master,
             addr,
-            threads: vec![event_loop],
+            threads,
         })
     }
 
@@ -624,263 +626,10 @@ impl MasterServer {
         &self.master
     }
 
-    /// Waits for the acceptor to exit (after a `Shutdown` request).
+    /// Waits for the event loop to exit (after a `Shutdown` request).
     pub fn join(mut self) {
         for t in self.threads.drain(..) {
             let _ = t.join();
-        }
-    }
-}
-
-/// Waker token of the master event loop (rebalance completions).
-const META_WAKER: Token = Token(0);
-/// Listener token of the master event loop.
-const META_LISTENER: Token = Token(1);
-/// First connection token.
-const META_CONN_BASE: usize = 2;
-
-/// One metadata connection owned by the loop.
-struct MetaConn {
-    stream: TcpStream,
-    reader: FrameReader,
-    wq: WriteQueue,
-    writable_armed: bool,
-    closing: bool,
-}
-
-/// The master's single event loop: every metadata call is served
-/// inline (they are fast in-memory operations), while `Rebalance` —
-/// which drives worker RPCs — runs on a detached thread and completes
-/// back through the waker so one long rebalance never stalls
-/// heartbeats or lookups on other connections.
-fn meta_loop(
-    mut poll: Poll,
-    waker: &Arc<Waker>,
-    listener: &TcpListener,
-    master: &Arc<Master>,
-    worker_addrs: &[SocketAddr],
-    executor_deadline: Duration,
-) {
-    let _ = poll
-        .registry()
-        .register(listener, META_LISTENER, Interest::READABLE);
-    let (done_tx, done_rx) = crossbeam::channel::unbounded::<(usize, u64, MetaReply)>();
-    let mut events = Events::with_capacity(64);
-    let mut conns: HashMap<usize, MetaConn> = HashMap::new();
-    let mut next_token = META_CONN_BASE;
-    let mut inbound: Vec<bytes::Bytes> = Vec::new();
-    let mut stopping = false;
-
-    'run: loop {
-        if poll.poll(&mut events, None).is_err() {
-            break 'run;
-        }
-
-        let mut dirty: Vec<usize> = Vec::new();
-
-        // Finished rebalances.
-        while let Ok((token, req_id, reply)) = done_rx.try_recv() {
-            if let Some(conn) = conns.get_mut(&token) {
-                conn.wq
-                    .push(WireFrame::contiguous(encode_meta_reply(&reply, req_id)));
-                if !dirty.contains(&token) {
-                    dirty.push(token);
-                }
-            }
-        }
-
-        for ev in &events {
-            let Token(t) = ev.token();
-            if t == META_WAKER.0 {
-                continue;
-            }
-            if t == META_LISTENER.0 {
-                if stopping {
-                    continue;
-                }
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let _ = stream.set_nodelay(true);
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            let token = next_token;
-                            next_token += 1;
-                            if poll
-                                .registry()
-                                .register(&stream, Token(token), Interest::READABLE)
-                                .is_ok()
-                            {
-                                conns.insert(
-                                    token,
-                                    MetaConn {
-                                        stream,
-                                        reader: FrameReader::new(),
-                                        wq: WriteQueue::new(),
-                                        writable_armed: false,
-                                        closing: false,
-                                    },
-                                );
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => break,
-                    }
-                }
-                continue;
-            }
-
-            // Connection readiness.
-            let Some(closing) = conns.get(&t).map(|c| c.closing) else {
-                continue;
-            };
-            if (ev.is_readable() || ev.is_error()) && !closing {
-                stopping |= serve_conn_input(
-                    &mut conns,
-                    t,
-                    master,
-                    worker_addrs,
-                    executor_deadline,
-                    &done_tx,
-                    waker,
-                    &mut inbound,
-                    &mut dirty,
-                );
-            }
-            if ev.is_writable() && conns.contains_key(&t) && !dirty.contains(&t) {
-                dirty.push(t);
-            }
-        }
-
-        for token in dirty {
-            flush_meta_conn(&poll, &mut conns, token);
-        }
-
-        // Shutdown: once the ack (and everything else) has flushed,
-        // close up shop.
-        if stopping && conns.values().all(|c| c.wq.is_empty()) {
-            break 'run;
-        }
-    }
-    for (_, conn) in conns.drain() {
-        let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-    }
-}
-
-/// Pumps one readable metadata connection and serves every decoded
-/// request. Returns `true` when a `Shutdown` was served.
-#[allow(clippy::too_many_arguments)]
-fn serve_conn_input(
-    conns: &mut HashMap<usize, MetaConn>,
-    token: usize,
-    master: &Arc<Master>,
-    worker_addrs: &[SocketAddr],
-    executor_deadline: Duration,
-    done_tx: &crossbeam::channel::Sender<(usize, u64, MetaReply)>,
-    waker: &Arc<Waker>,
-    inbound: &mut Vec<bytes::Bytes>,
-    dirty: &mut Vec<usize>,
-) -> bool {
-    let Some(conn) = conns.get_mut(&token) else {
-        return false;
-    };
-    inbound.clear();
-    let status = conn.reader.pump(&mut conn.stream, inbound);
-    let mut shutdown = false;
-    for buf in inbound.drain(..) {
-        let (req_id, req) = match Frame::parse(buf).and_then(|f| {
-            let req = decode_meta_request(&f)?;
-            Ok((f.req_id, req))
-        }) {
-            Ok(ok) => ok,
-            Err(e) => {
-                // Protocol violation: answer best-effort and cut the
-                // connection once the error flushes.
-                conn.wq
-                    .push(WireFrame::contiguous(encode_meta_reply(&MetaReply::Err(e), 0)));
-                conn.closing = true;
-                if !dirty.contains(&token) {
-                    dirty.push(token);
-                }
-                return false;
-            }
-        };
-        match req {
-            MetaRequest::Rebalance { .. } => {
-                // Worker RPCs are slow; never run them on the loop.
-                let master = Arc::clone(master);
-                let workers = worker_addrs.to_vec();
-                let done_tx = done_tx.clone();
-                let waker = Arc::clone(waker);
-                let _ = std::thread::Builder::new()
-                    .name("spcache-master-rebalance".into())
-                    .spawn(move || {
-                        let reply = serve_meta(&master, &workers, req, executor_deadline);
-                        if done_tx.send((token, req_id, reply)).is_ok() {
-                            let _ = waker.wake();
-                        }
-                    });
-            }
-            other => {
-                shutdown |= matches!(other, MetaRequest::Shutdown);
-                let reply = serve_meta(master, worker_addrs, other, executor_deadline);
-                conn.wq
-                    .push(WireFrame::contiguous(encode_meta_reply(&reply, req_id)));
-                if !dirty.contains(&token) {
-                    dirty.push(token);
-                }
-            }
-        }
-    }
-    let dead = match status {
-        Ok(PumpStatus::Open) => false,
-        Ok(PumpStatus::Closed) | Err(_) => true,
-    };
-    if dead {
-        if let Some(conn) = conns.remove(&token) {
-            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        }
-    }
-    shutdown
-}
-
-/// Flushes one metadata connection, mirroring the worker server's
-/// interest-arming discipline.
-fn flush_meta_conn(poll: &Poll, conns: &mut HashMap<usize, MetaConn>, token: usize) {
-    let Some(conn) = conns.get_mut(&token) else {
-        return;
-    };
-    match conn.wq.flush(&mut conn.stream) {
-        Ok(true) => {
-            if conn.closing {
-                let _ = poll.registry().deregister(&conn.stream);
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-                conns.remove(&token);
-                return;
-            }
-            if conn.writable_armed {
-                conn.writable_armed = false;
-                let _ = poll
-                    .registry()
-                    .reregister(&conn.stream, Token(token), Interest::READABLE);
-            }
-        }
-        Ok(false) => {
-            if !conn.writable_armed {
-                conn.writable_armed = true;
-                let _ = poll.registry().reregister(
-                    &conn.stream,
-                    Token(token),
-                    Interest::READABLE | Interest::WRITABLE,
-                );
-            }
-        }
-        Err(_) => {
-            let _ = poll.registry().deregister(&conn.stream);
-            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            conns.remove(&token);
         }
     }
 }

@@ -4,9 +4,10 @@
 //! and a deadline timer heap.
 //!
 //! These three pieces are deliberately free of any socket ownership or
-//! threading policy — the readiness loops in [`crate::tcp`],
-//! [`crate::server`] and [`crate::master_net`] compose them around a
-//! [`mio::Poll`] instance. Keeping them standalone makes the decoder
+//! threading policy — the readiness loops in [`crate::tcp`] and
+//! [`crate::server`] compose them around a [`mio::Poll`] instance; the
+//! one poller-aware piece is [`WriteQueue::flush_polled`], the flush
+//! both loops use. Keeping them standalone makes the decoder
 //! and write queue testable against plain in-memory readers/writers
 //! (the codec proptests drive [`FrameReader`] with adversarial split
 //! points without a socket in sight).
@@ -14,10 +15,11 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::{self, Read, Write};
-use std::os::fd::AsFd;
+use std::os::fd::{AsFd, AsRawFd};
 use std::time::Instant;
 
 use bytes::Bytes;
+use mio::{Interest, Registry, Token};
 
 use crate::frame::{HEADER_LEN, MAX_FRAME};
 
@@ -337,6 +339,9 @@ pub struct WriteQueue {
     queue: VecDeque<WireFrame>,
     /// Bytes of `queue[0]` already written by a previous short write.
     offset: usize,
+    /// Whether [`flush_polled`](WriteQueue::flush_polled) left the
+    /// socket registered for write readiness.
+    writable_armed: bool,
 }
 
 impl WriteQueue {
@@ -386,6 +391,32 @@ impl WriteQueue {
             self.advance(written);
         }
         Ok(true)
+    }
+
+    /// [`flush`](WriteQueue::flush) for a socket registered under
+    /// `token`, keeping its interest in step with the queue: WRITABLE
+    /// is armed while the socket pushes back and disarmed once the queue
+    /// drains, so an idle connection costs no wakeups. Returns `true`
+    /// when fully drained.
+    ///
+    /// # Errors
+    ///
+    /// As [`flush`](WriteQueue::flush); the caller closes the socket.
+    pub fn flush_polled<W: Write + AsFd + AsRawFd>(
+        &mut self,
+        w: &mut W,
+        registry: &Registry,
+        token: Token,
+    ) -> io::Result<bool> {
+        let drained = self.flush(w)?;
+        if drained && self.writable_armed {
+            self.writable_armed = false;
+            let _ = registry.reregister(w, token, Interest::READABLE);
+        } else if !drained && !self.writable_armed {
+            self.writable_armed = true;
+            let _ = registry.reregister(w, token, Interest::READABLE | Interest::WRITABLE);
+        }
+        Ok(drained)
     }
 
     /// One gather-write over the first [`MAX_IOV`] slices of the queue.

@@ -295,8 +295,6 @@ struct Conn {
     reader: FrameReader,
     wq: WriteQueue,
     pending: HashMap<u64, Sender<Reply>>,
-    /// Whether the socket is currently registered for write readiness.
-    writable_armed: bool,
 }
 
 impl Conn {
@@ -360,7 +358,6 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
                                 reader: FrameReader::new(),
                                 wq: WriteQueue::new(),
                                 pending: HashMap::new(),
-                                writable_armed: false,
                             },
                         );
                     } else {
@@ -420,8 +417,11 @@ fn shard_loop(mut poll: Poll, rx: Receiver<Cmd>, peers: &[PeerShared]) {
             let Some(conn) = conns.get_mut(&worker) else {
                 continue;
             };
-            if let Err(death) = flush_conn(&poll, conn, worker) {
-                kill_conn(&poll, &mut conns, peers, worker, &death);
+            let flushed =
+                conn.wq
+                    .flush_polled(&mut conn.stream, poll.registry(), worker_token(worker));
+            if flushed.is_err() {
+                kill_conn(&poll, &mut conns, peers, worker, &StoreError::Io(worker));
             }
         }
 
@@ -465,30 +465,6 @@ fn pump_replies(conn: &mut Conn, worker: usize, inbound: &mut Vec<Bytes>) -> Opt
     match status {
         Ok(PumpStatus::Open) => None,
         Ok(PumpStatus::Closed) | Err(_) => Some(StoreError::Io(worker)),
-    }
-}
-
-/// Flushes a connection's write queue, arming or disarming write
-/// interest to match whether the socket pushed back.
-fn flush_conn(poll: &Poll, conn: &mut Conn, worker: usize) -> Result<(), StoreError> {
-    match conn.wq.flush(&mut conn.stream) {
-        Ok(drained) => {
-            if drained && conn.writable_armed {
-                conn.writable_armed = false;
-                let _ = poll
-                    .registry()
-                    .reregister(&conn.stream, worker_token(worker), Interest::READABLE);
-            } else if !drained && !conn.writable_armed {
-                conn.writable_armed = true;
-                let _ = poll.registry().reregister(
-                    &conn.stream,
-                    worker_token(worker),
-                    Interest::READABLE | Interest::WRITABLE,
-                );
-            }
-            Ok(())
-        }
-        Err(_) => Err(StoreError::Io(worker)),
     }
 }
 

@@ -2,11 +2,14 @@
 //! the in-process transport, repartition over the wire, wire-level fault
 //! injection, and graceful drain-then-exit shutdown.
 
+use spcache_net::frame::{decode_reply, encode_request, read_frame, write_frame, Frame};
+use spcache_net::master_net::{decode_meta_reply, encode_meta_request, MetaReply, MetaRequest};
 use spcache_net::TcpCluster;
 use spcache_store::fault::FaultAction;
 use spcache_store::rpc::{PartKey, Reply, Request, StoreError};
 use spcache_store::transport::Transport;
 use spcache_store::{FaultPlan, RetryPolicy, StoreCluster, StoreConfig};
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 const N_WORKERS: usize = 4;
@@ -174,6 +177,83 @@ fn shutdown_drains_queued_requests() {
         Err(StoreError::Io(0) | StoreError::WorkerDown(0) | StoreError::Timeout(0)) => {}
         other => panic!("post-shutdown request should fail, got {other:?}"),
     }
+    tcp.shutdown();
+}
+
+/// The forced form of the drain race: the last put's reply waits on a
+/// scripted 100 ms frame delay while the `Shutdown` behind it is acked
+/// at once. The server must still deliver that delayed reply before it
+/// closes the connection.
+#[test]
+fn shutdown_drains_delayed_replies() {
+    let faults = FaultPlan::none().delay_frame(0, 7, Duration::from_millis(100));
+    let tcp = TcpCluster::spawn(StoreConfig::unthrottled(1).with_faults(faults));
+    let transport = tcp.transport().clone();
+
+    let puts: Vec<_> = (0..8u32)
+        .map(|i| {
+            let key = PartKey::new(9, i).staged();
+            let data = payload(u64::from(i), 1_500).into();
+            transport.submit(0, Request::Put { key, data, sum: 0 }).unwrap()
+        })
+        .collect();
+    let shutdown_rx = transport.submit(0, Request::Shutdown).unwrap();
+
+    for (i, rx) in puts.iter().enumerate() {
+        let reply = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(reply, Reply::Done, "put {i} must be answered before the close");
+    }
+    assert_eq!(
+        shutdown_rx.recv_timeout(Duration::from_secs(5)).unwrap(),
+        Reply::Done
+    );
+    tcp.shutdown();
+}
+
+/// Writes one raw frame to `addr` and returns the reply frame, after
+/// checking that the server then closes the connection.
+fn reply_then_close(addr: SocketAddr, frame: &[u8]) -> Frame {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    write_frame(&mut s, frame).unwrap();
+    let reply = read_frame(&mut s).unwrap().expect("an error reply frame");
+    let next = read_frame(&mut s);
+    assert!(
+        matches!(next, Ok(None) | Err(_)),
+        "the connection must close after the error frame, got {next:?}"
+    );
+    Frame::parse(reply).unwrap()
+}
+
+/// A frame of the other role's protocol is a protocol violation: each
+/// server answers it with a `Codec` error in its own reply space, closes
+/// that connection, and keeps serving everyone else.
+#[test]
+fn wrong_port_frames_get_a_codec_error_then_close() {
+    let tcp = TcpCluster::spawn(StoreConfig::unthrottled(2));
+    let client = tcp.client();
+    client.write(1, &payload(1, 4_000), &[0, 1]).unwrap();
+
+    // A worker `Ping` at the master.
+    let reply = reply_then_close(tcp.master_addr(), &encode_request(&Request::Ping, 5));
+    let decoded = decode_meta_reply(&reply).unwrap();
+    assert!(
+        matches!(decoded, MetaReply::Err(StoreError::Codec(_))),
+        "master answered {decoded:?}"
+    );
+
+    // A master `Status` at a worker.
+    let status = encode_meta_request(&MetaRequest::Status, 6);
+    let reply = reply_then_close(tcp.worker_addrs()[1], &status);
+    let decoded = decode_reply(&reply).unwrap();
+    assert!(
+        matches!(decoded, Reply::Err(StoreError::Codec(_))),
+        "worker answered {decoded:?}"
+    );
+
+    // Both servers still serve other connections.
+    assert_eq!(client.read(1).unwrap(), payload(1, 4_000));
+    assert_eq!(tcp.client().read(1).unwrap(), payload(1, 4_000));
     tcp.shutdown();
 }
 
